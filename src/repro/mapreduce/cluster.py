@@ -213,42 +213,43 @@ def execute_map_task(
     if job.combiner is not None and pairs:
         pairs = _combine(job, ctx, pairs, memory_limit_bytes)
 
+    # Every shuffled pair is sized here and nowhere else: the engines
+    # only sum the per-partition totals this task returns.  Keys repeat
+    # across records (route x length is a small domain) and both the
+    # partition and the size are pure functions of the key, so cache
+    # ``(partition, key bytes)`` per distinct key.  Mappers that fan one
+    # record out to several routes (and the split mapper, which
+    # replicates one add copy per shard) emit the *same* value object
+    # back-to-back, so size it once per object, not once per copy.
+    num_reducers = job.num_reducers
+    partitioner = job.partitioner
+    partition = job.partition
+
+    def place(key: object) -> int:
+        if partitioner is not None:
+            return partitioner(key, num_reducers)
+        return stable_hash(partition(key)) % num_reducers
+
     partitioned = []
-    output_bytes = 0
-    # Two hot-loop memos.  Keys repeat across records (route x length
-    # is a small domain) and partitioning is a pure function of the
-    # key, so cache it instead of re-hashing per emission.  Mappers
-    # that fan one record out to several routes (and the split mapper,
-    # which replicates one add copy per shard) emit the *same* value
-    # object back-to-back, so byte-account it once per object, not
-    # once per copy.
-    partition_cache: dict = {}
+    append = partitioned.append
+    key_cache: dict = {}
     last_value_id = 0
     last_value_bytes = 0
-    num_reducers = job.num_reducers
-    append = partitioned.append
-    if job.partitioner is not None:
-        partitioner = job.partitioner
-        for key, value in pairs:
-            p = partition_cache.get(key)
-            if p is None:
-                p = partition_cache[key] = partitioner(key, num_reducers)
-            append((p, key, value))
-            if id(value) != last_value_id:
-                last_value_bytes = approx_bytes(value)
-                last_value_id = id(value)
-            output_bytes += approx_bytes(key) + last_value_bytes
-    else:
-        partition = job.partition
-        for key, value in pairs:
-            p = partition_cache.get(key)
-            if p is None:
-                p = partition_cache[key] = stable_hash(partition(key)) % num_reducers
-            append((p, key, value))
-            if id(value) != last_value_id:
-                last_value_bytes = approx_bytes(value)
-                last_value_id = id(value)
-            output_bytes += approx_bytes(key) + last_value_bytes
+    part_bytes = [0] * num_reducers
+    for key, value in pairs:
+        hit = key_cache.get(key)
+        if hit is None:
+            hit = key_cache[key] = (place(key), approx_bytes(key))
+        p, key_bytes = hit
+        append((p, key, value))
+        if id(value) != last_value_id:
+            last_value_bytes = approx_bytes(value)
+            last_value_id = id(value)
+        # approx_bytes((key, value)): 8 bytes of pair framing + both parts
+        part_bytes[p] += 8 + key_bytes + last_value_bytes
+    partition_bytes = {p: n for p, n in enumerate(part_bytes) if n}
+    # map output bytes count keys and values without the pair framing
+    output_bytes = sum(part_bytes) - 8 * len(pairs)
     cpu = time.perf_counter() - t0
     # JVM reuse: the distributed-cache read and map_setup run once per
     # slot, not once per task (see SimulatedCluster._load_broadcast).
@@ -267,6 +268,7 @@ def execute_map_task(
         output_records=len(pairs),
         output_bytes=output_bytes,
         peak_memory_bytes=ctx.peak_memory_bytes,
+        partition_bytes=partition_bytes,
     )
     span.set(
         input_records=len(records),
@@ -277,6 +279,22 @@ def execute_map_task(
     if heartbeat is not None:
         heartbeat.finish(len(records))
     return stats, partitioned, ctx.counters.as_dict()
+
+
+def record_shuffle(stats: PhaseStats, counters: Counters, num_reducers: int) -> None:
+    """Sum the map tasks' per-partition byte totals into the job's
+    shuffle figures: ``stats.shuffle_bytes``, the shuffle-bytes counter
+    and the ``shuffle.partition_bytes`` histogram.  The histogram
+    observes every partition, empty ones included, so merged counters
+    are byte-identical across engines."""
+    totals = [0] * num_reducers
+    for task in stats.map_tasks:
+        for p, num_bytes in task.partition_bytes.items():
+            totals[p] += num_bytes
+    for num_bytes in totals:
+        observe_into(counters.increment, "shuffle.partition_bytes", num_bytes)
+    stats.shuffle_bytes = sum(totals)
+    counters.increment(SHUFFLE_BYTES, stats.shuffle_bytes)
 
 
 def _combine(
@@ -479,14 +497,7 @@ class SimulatedCluster:
             with trace_span(
                 self.tracer, "shuffle", "phase", job=job.name
             ) as phase_span:
-                for bucket in partitions:
-                    bucket_bytes = sum(approx_bytes(pair) for pair in bucket)
-                    stats.shuffle_bytes += bucket_bytes
-                    observe_into(
-                        job_counters.increment, "shuffle.partition_bytes",
-                        bucket_bytes,
-                    )
-                job_counters.increment(SHUFFLE_BYTES, stats.shuffle_bytes)
+                record_shuffle(stats, job_counters, job.num_reducers)
                 phase_span.set(
                     shuffle_bytes=stats.shuffle_bytes, partitions=len(partitions)
                 )

@@ -81,8 +81,9 @@ from repro.mapreduce.cluster import (
     SimulatedCluster,
     execute_map_task,
     execute_reduce_task,
+    record_shuffle,
 )
-from repro.mapreduce.counters import SHUFFLE_BYTES, Counters
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.dfs import InMemoryDFS
 from repro.mapreduce.faults import (
     DEFAULT_RETRY_POLICY,
@@ -289,20 +290,19 @@ SegmentRef = tuple[str, str, int, int, tuple[int, ...]]
 
 def _serialize_buckets(
     partitioned: list, num_reducers: int
-) -> tuple[Segments, dict[int, int], list, int]:
-    """Partition and serialize one map task's output exactly once.
+) -> tuple[Segments, list, int]:
+    """Bucket and serialize one map task's output exactly once.
 
     Each non-empty bucket becomes one protocol-5 pickle blob followed by
     its out-of-band buffers (``buffer_callback``), laid out back to back.
-    Returns ``(segments, part_bytes, pieces, total)`` where ``pieces``
-    is the flat byte-chunk sequence to copy into a segment or file and
-    ``total`` its length.
+    Returns ``(segments, pieces, total)`` where ``pieces`` is the flat
+    byte-chunk sequence to copy into a segment or file and ``total`` its
+    length.  Nothing is sized here: the task's shuffle bytes were summed
+    per partition at emit (``TaskStats.partition_bytes``).
     """
     buckets: list[list] = [[] for _ in range(num_reducers)]
-    part_bytes: dict[int, int] = {}
     for p, key, value in partitioned:
         buckets[p].append((key, value))
-        part_bytes[p] = part_bytes.get(p, 0) + approx_bytes((key, value))
     segments: Segments = {}
     pieces: list = []
     offset = 0
@@ -318,7 +318,7 @@ def _serialize_buckets(
         pieces.extend(raw_bufs)
         segments[p] = (offset, len(blob), buf_lens)
         offset += len(blob) + sum(buf_lens)
-    return segments, part_bytes, pieces, offset
+    return segments, pieces, offset
 
 
 def _spill_map_output(
@@ -328,7 +328,7 @@ def _spill_map_output(
     num_reducers: int,
     transport: str = "disk",
     shm_prefix: str = "",
-) -> tuple[Locator, Segments, dict[int, int]]:
+) -> tuple[Locator, Segments]:
     """Materialize one map task's partitioned output for the shuffle.
 
     ``stem`` names the attempt (``m<task>a<attempt>``) so concurrent
@@ -341,9 +341,9 @@ def _spill_map_output(
     disk spill file with identical layout, so readers never care which
     transport produced a reference.
     """
-    segments, part_bytes, pieces, total = _serialize_buckets(partitioned, num_reducers)
+    segments, pieces, total = _serialize_buckets(partitioned, num_reducers)
     if not segments:
-        return ("none", ""), segments, part_bytes
+        return ("none", ""), segments
     if transport == "shm" and not _W_FORCE_DISK and os.path.isdir(_SHM_DIR):
         name = shm_prefix + stem
         try:
@@ -358,13 +358,13 @@ def _spill_map_output(
                 position += len(piece)
             del view
             shm.close()
-            return ("shm", name), segments, part_bytes
+            return ("shm", name), segments
     os.makedirs(phase_dir, exist_ok=True)
     path = os.path.join(phase_dir, f"{stem}.spill")
     with open(path, "wb") as handle:
         for piece in pieces:
             handle.write(piece)
-    return ("disk", path), segments, part_bytes
+    return ("disk", path), segments
 
 
 def _read_segments(refs: list[SegmentRef]) -> list:
@@ -468,7 +468,7 @@ def _run_map_chunk(args: tuple) -> tuple:
             )
             if fault is not None and fault.kind == "corrupt":
                 raise CorruptOutputError(job.name, "map", task_id, attempt)
-            locator, segments, part_bytes = _spill_map_output(
+            locator, segments = _spill_map_output(
                 phase_dir,
                 f"m{task_id}a{attempt}",
                 partitioned,
@@ -476,9 +476,7 @@ def _run_map_chunk(args: tuple) -> tuple:
                 transport,
                 shm_prefix,
             )
-            oks.append(
-                (task_id, attempt, (stats, counters, locator, segments, part_bytes))
-            )
+            oks.append((task_id, attempt, (stats, counters, locator, segments)))
         except NON_RETRYABLE as exc:
             annotate_memory_error(exc, job.name, "map", task_id, attempt)
             errs.append((task_id, attempt, exc, False))
@@ -588,8 +586,9 @@ class ExecutorStats:
 class MapShuffle:
     """Parent-side handle to one map phase's shuffle output.
 
-    Holds only segment references and byte counts — never the
-    intermediate data itself.  Owns the lifetime of the phase's shared
+    Holds only segment references — never the intermediate data itself,
+    and no shuffle byte counts either: those ride on each map task's
+    ``TaskStats.partition_bytes``.  Owns the lifetime of the phase's shared
     memory: every segment name absorbed from a winning map attempt is
     unlinked by :meth:`cleanup`, and the phase-prefix sweep reclaims
     segments written by attempts whose results never came back (lost to
@@ -609,22 +608,14 @@ class MapShuffle:
         self._shm_prefix = shm_prefix
         #: (locator, segments) per map task, in task order
         self._tasks: list[tuple[Locator, Segments]] = []
-        self._part_bytes: dict[int, int] = {}
         #: shm segment names owned (and unlinked) by this handle
         self._shm_names: list[str] = []
-        #: total approx shuffle volume (= SimulatedCluster's shuffle_bytes)
-        self.total_bytes = 0
         #: real bytes written to disk spill files (fallback path only)
         self.spilled_bytes = 0
         #: real bytes placed in shared-memory segments
         self.shm_bytes = 0
 
-    def add_task(
-        self,
-        locator: Locator,
-        segments: Segments,
-        part_bytes: dict[int, int],
-    ) -> None:
+    def add_task(self, locator: Locator, segments: Segments) -> None:
         kind, where = locator
         self._tasks.append((locator, segments))
         segment_total = sum(
@@ -636,14 +627,11 @@ class MapShuffle:
             self._shm_names.append(where)
         elif kind == "disk":
             self.spilled_bytes += segment_total
-        for p, num_bytes in part_bytes.items():
-            self._part_bytes[p] = self._part_bytes.get(p, 0) + num_bytes
-            self.total_bytes += num_bytes
 
     def nonempty_partitions(self) -> list[int]:
         """Partitions with at least one pair, in index order — the same
         reduce task set and order as the sequential engine."""
-        return sorted(self._part_bytes)
+        return sorted({p for _locator, segments in self._tasks for p in segments})
 
     def refs_for(self, partition: int) -> list[SegmentRef]:
         """Shuffle segment references of one partition, in map-task
@@ -1337,8 +1325,8 @@ class PersistentExecutor:
                     _run_map_chunk, jid, common, order, task_payloads,
                     job=job, phase="map", counters_index=1,
                 )
-                for stats, counters, locator, segments, part_bytes in cores:
-                    shuffle.add_task(locator, segments, part_bytes)
+                for stats, counters, locator, segments in cores:
+                    shuffle.add_task(locator, segments)
                     if self.transport == "shm" and locator[0] == "disk":
                         ex.shm_fallbacks += 1
                     ex.busy_s += stats.cpu_seconds
@@ -1599,7 +1587,6 @@ class PersistentParallelCluster(SimulatedCluster):
                 for task_stats, counters in task_results:
                     stats.map_tasks.append(task_stats)
                     job_counters.merge_dict(counters)
-                stats.shuffle_bytes = shuffle.total_bytes
             else:
                 partitions = [[] for _ in range(job.num_reducers)]
                 for task_stats, partitioned, counters in super()._execute_map_tasks(
@@ -1617,30 +1604,13 @@ class PersistentParallelCluster(SimulatedCluster):
                 stats.map_executor = ExecutorPhaseStats(
                     mode="inline", tasks=len(map_inputs)
                 )
-                stats.shuffle_bytes = sum(
-                    approx_bytes(pair)
-                    for bucket in partitions
-                    for pair in bucket
-                )
             if hub is not None:
                 hub.phase_finished(job.name, "map")
             phase_span.set(
                 tasks=len(stats.map_tasks), mode=stats.map_executor.mode
             )
             phase_span.close()
-            job_counters.increment(SHUFFLE_BYTES, stats.shuffle_bytes)
-            # same per-partition byte histogram as the sequential
-            # engine (every partition, empty ones included), so merged
-            # counters stay byte-identical across engines
-            for p in range(job.num_reducers):
-                if shuffle is not None:
-                    bucket_bytes = shuffle._part_bytes.get(p, 0)
-                else:
-                    assert partitions is not None
-                    bucket_bytes = sum(approx_bytes(pair) for pair in partitions[p])
-                observe_into(
-                    job_counters.increment, "shuffle.partition_bytes", bucket_bytes
-                )
+            record_shuffle(stats, job_counters, job.num_reducers)
 
             # ---- reduce phase ----------------------------------------
             if shuffle is not None:

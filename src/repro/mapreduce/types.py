@@ -70,6 +70,14 @@ def approx_bytes(obj: object) -> int:
     Deliberately cheap and deterministic (not ``sys.getsizeof``, which
     varies across builds): strings count their length, numbers 8 bytes,
     containers sum their elements plus 8 bytes of framing each.
+
+    Shuffled pairs are sized in exactly one place, at emit, by
+    :func:`repro.mapreduce.cluster.execute_map_task`; every engine only
+    sums the per-partition totals that map tasks return
+    (:attr:`TaskStats.partition_bytes`).  That site sizes each distinct
+    key once per task, which relies on the invariant that equal keys
+    have equal size — true for every type above (``1 == 1.0 == True``
+    all count 8 bytes), so a key type added here must keep it.
     """
     if isinstance(obj, str):
         return len(obj)
@@ -108,6 +116,11 @@ class TaskStats:
     output_records: int = 0
     output_bytes: int = 0
     peak_memory_bytes: int = 0
+    #: map tasks only: shuffled bytes this task sends to each reduce
+    #: partition, ``approx_bytes((key, value))`` summed over its pairs
+    #: (``8 + key + value`` each); partitions it sends nothing to are
+    #: absent.  The engines sum these into ``PhaseStats.shuffle_bytes``.
+    partition_bytes: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -116,9 +129,12 @@ class ExecutorPhaseStats:
 
     Produced by the real-core executors (``repro.mapreduce.executor``,
     ``repro.mapreduce.parallel``); ``None`` on :class:`PhaseStats` means
-    the phase ran on the plain sequential engine.  All byte figures use
-    :func:`approx_bytes` accounting except the spill figures, which are
-    real on-disk bytes.
+    the phase ran on the plain sequential engine.  The spill and shm
+    figures are real bytes written; the worker-traffic figures are
+    estimates (:func:`approx_bytes` of inline payloads and counter
+    snapshots, plus fixed framing).  The shuffle volume is not here: it
+    is ``PhaseStats.shuffle_bytes``, summed from the map tasks'
+    :attr:`TaskStats.partition_bytes`.
     """
 
     #: ``"inline"`` (ran in the driver process) or ``"pool"``

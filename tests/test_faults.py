@@ -453,7 +453,7 @@ class TestShmChaos:
         from repro.mapreduce import executor as ex_mod
 
         monkeypatch.setattr(ex_mod, "_SHM_DIR", str(tmp_path / "no-shm"))
-        locator, segments, _pb = ex_mod._spill_map_output(
+        locator, segments = ex_mod._spill_map_output(
             str(tmp_path / "phase"), "m0a0", [(0, "k", "v")], 2, "shm", "pfx-"
         )
         assert locator[0] == "disk"
@@ -470,7 +470,7 @@ class TestShmChaos:
             raise OSError("no space on /dev/shm")
 
         monkeypatch.setattr(ex_mod, "_create_shm", boom)
-        locator, segments, _pb = ex_mod._spill_map_output(
+        locator, segments = ex_mod._spill_map_output(
             str(tmp_path / "phase"), "m0a0", [(1, "k", "v")], 2, "shm", "pfx-"
         )
         assert locator[0] == "disk"
