@@ -54,6 +54,11 @@ from repro.core.similarity import SimilarityFunction
 from repro.core.verification import overlap
 
 
+#: what ``PPJoinIndex.probe`` reads for an entry it has not met yet:
+#: falsy, and typed like a merge state; never mutated
+_UNSEEN: list[int] = []
+
+
 def _entry_bytes(size: int, has_signature: bool = False) -> int:
     """Approximate in-memory bytes of one indexed entry of *size* tokens.
 
@@ -250,6 +255,15 @@ class PPJoinIndex:
         overlap are computed against the record's *original* set size
         so the reported similarity is exact.  ``signature`` is the
         probe's precomputed bitmap signature (see :meth:`add`).
+
+        Each posting hit runs the length, bitmap (first encounter
+        only), positional and suffix (first encounter only) filters in
+        that order.  One map, ``seen``, holds every entry the probe has
+        met: ``None`` once any filter pruned it, else its
+        ``[count, i, j]`` merge state.  ``alpha_of`` caches the
+        required overlap per indexed size: within one probe it depends
+        only on ``ny``, so each distinct size pays one
+        ``overlap_threshold`` call.
         """
         nx = len(tokens)
         n_true = nx if true_size is None else true_size
@@ -281,13 +295,14 @@ class PPJoinIndex:
                 else bitmap_signature(tokens, self.bitmap_width)
             )
             x_slack = nx - sig_x.bit_count()
-        candidates: dict[int, list[int]] = {}
-        pruned: set[int] = set()
+        seen: dict[int, list[int] | None] = {}
+        alpha_of: dict[int, int] = {}
         # hot loop: hoist per-entry tables and per-stage prune tallies
         # into locals (attribute/dict lookups cost real time here)
         sizes = self._sizes
         sigs, sig_slack = self._sigs, self._sig_slack
         sanitizer = self.sanitizer
+        use_positional, use_suffix = self.use_positional, self.use_suffix
         p_length = p_bitmap = p_positional = p_suffix = 0
         for i in range(probe_len):
             postings = self._postings.get(tokens[i])
@@ -307,38 +322,41 @@ class PPJoinIndex:
                         if y_tokens is not None:  # evicted entries have no payload
                             sanitizer.check_prune("length", tokens, n_true, y_tokens, ny)
                     continue
-                if entry_id in pruned:
+                # _UNSEEN: first encounter; None: pruned; else [count, i, j]
+                state = seen.get(entry_id, _UNSEEN)
+                if state is None:
                     continue
-                state = candidates.get(entry_id)
+                alpha = alpha_of.get(ny)
+                if alpha is None:
+                    alpha = alpha_of[ny] = sim.overlap_threshold(n_true, ny, threshold)
                 current = state[0] if state else 0
-                alpha = sim.overlap_threshold(n_true, ny, threshold)
-                if state is None and sig_x is not None:
+                if not state and sig_x is not None:
                     # first encounter: bitmap overlap upper bound,
                     # between the length and positional filters
-                    bound = (sig_x & sigs[entry_id]).bit_count() + min(
-                        x_slack, sig_slack[entry_id]
+                    y_slack = sig_slack[entry_id]
+                    bound = (sig_x & sigs[entry_id]).bit_count() + (
+                        x_slack if x_slack < y_slack else y_slack
                     )
                     if bound < alpha:
-                        pruned.add(entry_id)
+                        seen[entry_id] = None
                         p_bitmap += 1
                         if sanitizer is not None:
                             y_tokens = self._tokens[entry_id]
                             assert y_tokens is not None
                             sanitizer.check_prune("bitmap", tokens, n_true, y_tokens, ny)
                         continue
-                if self.use_positional and not positional_filter_passes(
+                if use_positional and not positional_filter_passes(
                     nx, ny, i, j, current, alpha
                 ):
-                    pruned.add(entry_id)
-                    candidates.pop(entry_id, None)
+                    seen[entry_id] = None
                     p_positional += 1
                     if sanitizer is not None:
                         y_tokens = self._tokens[entry_id]
                         assert y_tokens is not None
                         sanitizer.check_prune("positional", tokens, n_true, y_tokens, ny)
                     continue
-                if state is None:
-                    if self.use_suffix:
+                if not state:
+                    if use_suffix:
                         y_tokens = self._tokens[entry_id]
                         assert y_tokens is not None
                         if not suffix_filter_passes(
@@ -348,14 +366,14 @@ class PPJoinIndex:
                             overlap_so_far=1,
                             max_depth=self.suffix_max_depth,
                         ):
-                            pruned.add(entry_id)
+                            seen[entry_id] = None
                             p_suffix += 1
                             if sanitizer is not None:
                                 sanitizer.check_prune(
                                     "suffix", tokens, n_true, y_tokens, ny
                                 )
                             continue
-                    candidates[entry_id] = [1, i, j]
+                    seen[entry_id] = [1, i, j]
                 else:
                     state[0] = current + 1
                     state[1] = i
@@ -366,36 +384,48 @@ class PPJoinIndex:
             stats["bitmap"] += p_bitmap
             stats["positional"] += p_positional
             stats["suffix"] += p_suffix
-        if not candidates:
+        if not seen:
             return []
-        return self._verify(rid, tokens, n_true, probe_len, candidates)
+        return self._verify(tokens, n_true, probe_len, seen, alpha_of)
 
     def _verify(
         self,
-        rid: int,
         tokens: Sequence[int],
         n_true: int,
         probe_len: int,
-        candidates: dict[int, list[int]],
+        seen: dict[int, list[int] | None],
+        alpha_of: dict[int, int],
     ) -> list[tuple[int, float]]:
         """PPJoin optimized verification: resume the merge after the
-        last prefix match instead of re-scanning the prefixes."""
+        last prefix match instead of re-scanning the prefixes.
+
+        *seen* and *alpha_of* are :meth:`probe`'s per-probe tables:
+        surviving candidates map to ``[count, i, j]`` (prefix matches
+        and the last matched positions), pruned ones to ``None``;
+        ``alpha_of[ny]`` is the required overlap against size ``ny``,
+        filled for every size a survivor has.  Survivors are verified
+        in first-encounter order, so results keep that order.
+        """
         sim, threshold = self.sim, self.threshold
-        nx = len(tokens)
+        y_table, prefix_lens, rids = self._tokens, self._prefix_lens, self._rids
+        x_rest = len(tokens) - probe_len
+        last_x = tokens[probe_len - 1]
+        x_tail = tokens[probe_len:]
         results: list[tuple[int, float]] = []
-        for entry_id, (count, i, j) in candidates.items():
-            y_tokens = self._tokens[entry_id]
+        for entry_id, state in seen.items():
+            if state is None:
+                continue
+            count, i, j = state
+            y_tokens = y_table[entry_id]
             assert y_tokens is not None
             ny = len(y_tokens)
-            alpha = sim.overlap_threshold(n_true, ny, threshold)
-            plen_y = self._prefix_lens[entry_id]
-            last_x = tokens[probe_len - 1]
-            last_y = y_tokens[plen_y - 1]
-            if last_x < last_y:
-                if count + (nx - probe_len) < alpha:
+            alpha = alpha_of[ny]
+            plen_y = prefix_lens[entry_id]
+            if last_x < y_tokens[plen_y - 1]:
+                if count + x_rest < alpha:
                     continue
                 total = count + overlap(
-                    tokens[probe_len:], y_tokens[j + 1 :], required=alpha - count
+                    x_tail, y_tokens[j + 1 :], required=alpha - count
                 )
             else:
                 if count + (ny - plen_y) < alpha:
@@ -405,7 +435,7 @@ class PPJoinIndex:
                 )
             if total >= alpha and sim.accepts_overlap(n_true, ny, total, threshold):
                 similarity = sim.similarity_from_overlap(n_true, ny, total)
-                results.append((self._rids[entry_id], similarity))
+                results.append((rids[entry_id], similarity))
         return results
 
     # -- batch driving -------------------------------------------------

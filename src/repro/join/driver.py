@@ -135,15 +135,27 @@ class JoinReport:
         """Unified metrics view of this run: the merged job counters
         (with ``hist.*`` keys decoded back into histograms — reduce
         group sizes, per-partition shuffle bytes, kernel observations),
-        per-stage simulated times as gauges, and the executor summary
-        as ``executor.*`` gauges.  Deterministic: two identical runs
-        snapshot byte-identically."""
+        per-stage simulated times and the cyclic-GC pause seconds kept
+        out of task CPU (``task.gc_pause_s``) as gauges, and the
+        executor summary as ``executor.*`` gauges.  Counters and
+        histograms are deterministic: two identical runs snapshot them
+        byte-identically; the time gauges are measured."""
         registry = MetricsRegistry()
         registry.merge_counters(self.counters())
         for name, stats in self.stages.items():
             registry.gauge(f"{name}.simulated_s", stats.simulated_total_s)
             registry.gauge(f"{name}.shuffle_bytes", stats.shuffle_bytes)
         registry.gauge("total.simulated_s", self.total_simulated_s)
+        # cyclic-GC pauses the task timers took out of measured task CPU
+        registry.gauge(
+            "task.gc_pause_s",
+            sum(
+                task.gc_seconds
+                for stats in self.stages.values()
+                for phase in stats.phases
+                for task in (*phase.map_tasks, *phase.reduce_tasks)
+            ),
+        )
         summary = self.executor_summary()
         registry.merge_gauges(
             {k: float(v) for k, v in summary.items()},

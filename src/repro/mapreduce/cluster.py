@@ -30,6 +30,7 @@ down), speculative execution disabled (we never re-run tasks).
 
 from __future__ import annotations
 
+import gc
 import heapq
 import time
 from dataclasses import dataclass, replace
@@ -76,6 +77,34 @@ from repro.obs.telemetry import HeartbeatEmitter, TelemetryHub
 from repro.obs.trace import Tracer, trace_span
 
 _TaskResult = TypeVar("_TaskResult", bound=tuple)
+
+
+class _GCClock:
+    """Cumulative cyclic-GC pause seconds in this process.
+
+    A collection runs wherever the allocation count trips a threshold,
+    so its pause lands in whichever task happens to be running, not in
+    the task that made the garbage.  The task timers below subtract the
+    pauses that fall inside them: task CPU is billed ``cpu_scale``-fold
+    into simulated time, where a stray gen-2 pause would move a stage.
+    Hooked on ``gc.callbacks`` at import, so forked workers inherit it.
+    """
+
+    __slots__ = ("total", "_start")
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.total += time.perf_counter() - self._start
+
+
+_gc_clock = _GCClock()
+gc.callbacks.append(_gc_clock)
 
 
 @dataclass
@@ -183,12 +212,14 @@ def execute_map_task(
     )
     ctx.task_id = task_id
     ctx.input_file = input_name
+    gc0 = _gc_clock.total
     t0 = time.perf_counter()
     if broadcast_bytes:
         ctx.reserve_memory(broadcast_bytes, "broadcast (distributed cache)")
     if job.map_setup is not None:
         job.map_setup(ctx)
-    setup_cpu = time.perf_counter() - t0
+    setup_gc = _gc_clock.total - gc0
+    setup_cpu = time.perf_counter() - t0 - setup_gc
     record = None
     try:
         if heartbeat is None:
@@ -250,11 +281,13 @@ def execute_map_task(
     partition_bytes = {p: n for p, n in enumerate(part_bytes) if n}
     # map output bytes count keys and values without the pair framing
     output_bytes = sum(part_bytes) - 8 * len(pairs)
-    cpu = time.perf_counter() - t0
+    gc_s = _gc_clock.total - gc0
+    cpu = time.perf_counter() - t0 - gc_s
     # JVM reuse: the distributed-cache read and map_setup run once per
     # slot, not once per task (see SimulatedCluster._load_broadcast).
     if task_id >= map_slots:
         cpu -= setup_cpu
+        gc_s -= setup_gc
     else:
         cpu += broadcast_cpu
 
@@ -269,6 +302,7 @@ def execute_map_task(
         output_bytes=output_bytes,
         peak_memory_bytes=ctx.peak_memory_bytes,
         partition_bytes=partition_bytes,
+        gc_seconds=gc_s,
     )
     span.set(
         input_records=len(records),
@@ -340,6 +374,7 @@ def execute_reduce_task(
     )
     ctx = Context("reduce", Counters(), memory_limit_bytes=memory_limit_bytes)
     ctx.task_id = partition_index
+    gc0 = _gc_clock.total
     t0 = time.perf_counter()
     bucket.sort(key=lambda pair: job.sort_key(pair[0]))
     if job.reduce_setup is not None:
@@ -366,7 +401,8 @@ def execute_reduce_task(
             job.name, "reduce", partition_index, exc,
             key_sample=getattr(ctx, "current_key", None),
         ) from exc
-    cpu = time.perf_counter() - t0
+    gc_s = _gc_clock.total - gc0
+    cpu = time.perf_counter() - t0 - gc_s
 
     # Observability bookkeeping on the already-sorted bucket: group-size
     # histogram (always on; rides the counter path) and, when tracing,
@@ -393,6 +429,7 @@ def execute_reduce_task(
         output_records=len(ctx._written),
         output_bytes=out_bytes,
         peak_memory_bytes=ctx.peak_memory_bytes,
+        gc_seconds=gc_s,
     )
     # Deterministic kernel-work proxy for the skew report: the join
     # kernels count every candidate they touch (pruned or surviving),

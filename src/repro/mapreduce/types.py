@@ -121,6 +121,9 @@ class TaskStats:
     #: (``8 + key + value`` each); partitions it sends nothing to are
     #: absent.  The engines sum these into ``PhaseStats.shuffle_bytes``.
     partition_bytes: dict[int, int] = field(default_factory=dict)
+    #: cyclic-GC pause seconds that fell inside the task's timer and
+    #: were subtracted from ``cpu_seconds`` (observe-only)
+    gc_seconds: float = 0.0
 
 
 @dataclass

@@ -2,6 +2,7 @@
 against the naive oracle (the library's strongest correctness check)."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.naive import naive_rs_join, naive_self_join
 from repro.core.ppjoin import PPJoinIndex, ppjoin_rs_join, ppjoin_self_join
 from repro.core.prefixes import Projection
-from repro.core.similarity import Cosine, Dice, Jaccard
+from repro.core import ppjoin as ppjoin_module
+from repro.core.similarity import Cosine, Dice, Jaccard, SimilarityFunction
+from repro.core.verification import overlap
 
 
 def projections(list_of_sets, base=0):
@@ -234,3 +237,158 @@ class TestDeterminism:
         assert ppjoin_self_join(projs, Jaccard(), 0.5) == ppjoin_self_join(
             projs, Jaccard(), 0.5
         )
+
+
+class _RecordingSanitizer:
+    """Stand-in sanitizer that records every prune it is shown."""
+
+    def __init__(self):
+        self.prunes = []
+
+    def check_prune(self, stage, x_tokens, nx_true, y_tokens, ny_true):
+        self.prunes.append((stage, tuple(y_tokens)))
+
+
+class _CountingSim(SimilarityFunction):
+    """Delegating similarity that counts ``overlap_threshold`` calls per
+    ``(nx, ny)`` (the inner function's own bound helpers call the inner
+    ``overlap_threshold``, so only the kernel's calls are counted)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.calls = Counter()
+
+    def similarity(self, x, y):
+        return self.inner.similarity(x, y)
+
+    def overlap_threshold(self, nx, ny, threshold):
+        self.calls[(nx, ny)] += 1
+        return self.inner.overlap_threshold(nx, ny, threshold)
+
+    def length_bounds(self, n, threshold):
+        return self.inner.length_bounds(n, threshold)
+
+    def similarity_from_overlap(self, nx, ny, overlap):
+        return self.inner.similarity_from_overlap(nx, ny, overlap)
+
+    def accepts_overlap(self, nx, ny, overlap, threshold):
+        return self.inner.accepts_overlap(nx, ny, overlap, threshold)
+
+    def prefix_length(self, n, threshold):
+        return self.inner.prefix_length(n, threshold)
+
+    def index_prefix_length(self, n, threshold):
+        return self.inner.index_prefix_length(n, threshold)
+
+
+class TestProbeContract:
+    """The per-probe bookkeeping of :meth:`PPJoinIndex.probe`: one
+    entry state per candidate (pruned is final), one required-overlap
+    computation per indexed size, results in first-encounter order."""
+
+    def test_positional_prune_after_first_match_is_final(self, monkeypatch):
+        sim, threshold = Jaccard(), 0.5
+        # y (6 tokens, probing prefix 0 1 2 3) and x (12 tokens) share
+        # 0, 2 and 3; alpha(12, 6) = 6.  Token 0 (i=0, j=0) passes the
+        # positional bound 1 + min(11, 5) = 6 and creates y's state;
+        # token 2 (i=1, j=2) fails it: 2 + min(10, 3) = 5 < 6.  Token 3
+        # (i=2, j=3) hits y again after the prune.
+        y = (0, 1, 2, 3, 40, 41)
+        x = (0, 2, 3, 10, 11, 12, 13, 14, 15, 16, 17, 18)
+        assert sim.overlap_threshold(len(x), len(y), threshold) == 6
+        assert sim.prefix_length(len(y), threshold) == 4
+        assert sim.prefix_length(len(x), threshold) >= 3
+        sanitizer = _RecordingSanitizer()
+        index = PPJoinIndex(
+            sim, threshold, mode="rs", evict=False, use_suffix=False,
+            sanitizer=sanitizer,
+        )
+        index.add(1, y)
+        merges = []
+
+        def counting_overlap(*args, **kwargs):
+            merges.append(args)
+            return overlap(*args, **kwargs)
+
+        monkeypatch.setattr(ppjoin_module, "overlap", counting_overlap)
+        assert index.probe(2, x) == []
+        assert merges == []  # never verified
+        assert index.filter_stats == {
+            "length": 0, "bitmap": 0, "positional": 1, "suffix": 0,
+        }
+        assert sanitizer.prunes == [("positional", y)]
+
+    @given(
+        proj_sets,
+        proj_sets,
+        st.sampled_from([Jaccard(), Cosine(), Dice()]),
+        st.sampled_from([0.5, 0.7, 0.9]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([None, 1, 64]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_every_filter_combination_matches_naive(
+        self, r_sets, s_sets, sim, threshold, positional, suffix, bitmap
+    ):
+        flags = dict(
+            use_positional=positional, use_suffix=suffix, bitmap_width=bitmap
+        )
+        r = projections(r_sets)
+        s = projections(s_sets, base=1000)
+
+        def same(got, expected):
+            assert [p[:2] for p in got] == [p[:2] for p in expected]
+            for (_, _, s1), (_, _, s2) in zip(got, expected):
+                assert s1 == pytest.approx(s2)
+
+        same(
+            ppjoin_self_join(r, sim, threshold, **flags),
+            naive_self_join(r, sim, threshold),
+        )
+        same(
+            ppjoin_rs_join(r, s, sim, threshold, **flags),
+            naive_rs_join(r, s, sim, threshold),
+        )
+
+    @pytest.mark.parametrize("bitmap", [None, 64])
+    @pytest.mark.parametrize("mode", ["self", "rs"])
+    def test_one_overlap_threshold_call_per_size_per_probe(self, mode, bitmap):
+        rng = random.Random(5)
+        # a dense vocabulary: most pairs share a prefix token, so one
+        # probe meets many entries of each size
+        records = sorted(
+            (tuple(sorted(rng.sample(range(14), rng.randint(5, 8)))) for _ in range(120)),
+            key=len,
+        )
+        sim = _CountingSim(Jaccard())
+        index = PPJoinIndex(sim, 0.5, mode=mode, bitmap_width=bitmap)
+        reference = PPJoinIndex(Jaccard(), 0.5, mode=mode, bitmap_width=bitmap)
+        if mode == "rs":
+            for rid, tokens in enumerate(records):
+                index.add(rid, tokens)
+                reference.add(rid, tokens)
+        most_matches_of_one_size = 0
+        for rid, tokens in enumerate(records, start=1000):
+            sim.calls.clear()
+            got = index.probe(rid, tokens)
+            assert got == reference.probe(rid, tokens)
+            assert all(n == 1 for n in sim.calls.values()), sim.calls
+            sizes = Counter(len(records[other % 1000]) for other, _ in got)
+            most_matches_of_one_size = max(
+                most_matches_of_one_size, max(sizes.values(), default=0)
+            )
+            if mode == "self":
+                index.add(rid, tokens)
+                reference.add(rid, tokens)
+        assert index.filter_stats == reference.filter_stats
+        # a per-candidate call would have shown up as a repeated size
+        assert most_matches_of_one_size >= 3
+
+    def test_results_in_first_encounter_order(self):
+        index = PPJoinIndex(Jaccard(), 0.5, mode="rs", evict=False)
+        index.add(1, (5, 6, 7))
+        index.add(2, (1, 6, 7))
+        # prefix token 1 reaches entry 2 before token 5 reaches entry 1
+        assert [rid for rid, _ in index.probe(9, (1, 5, 6, 7))] == [2, 1]
