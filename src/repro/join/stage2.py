@@ -377,7 +377,8 @@ def bk_verify_block(
     counters=None,
     sanitizer: Sanitizer | None = None,
 ) -> float | None:
-    """:func:`bk_verify` over columnar block rows.
+    """:func:`bk_verify` over columnar block rows (self-join BK reducers;
+    the R-S reducer inlines the same filters with per-row bounds).
 
     Filter order, counter increments and sanitizer probes mirror the
     scalar function exactly; the O(n) Python merge is replaced by one

@@ -49,13 +49,18 @@ from repro.join.config import JoinConfig
 from repro.join.stage2 import (
     CANDIDATE_PAIRS,
     PAIRS_OUTPUT,
+    PRUNED_BITMAP,
+    PRUNED_LENGTH,
     REL_R,
     REL_S,
     STAGE2_BATCHES,
     _projection_rel,
     _projection_size,
     bk_verify,
-    bk_verify_block,
+    # unused here since the batched scan inlines its filters; kept bound
+    # because the per-layer tracer (perfbench/tracing.py) wraps
+    # ``bk_verify_block`` in every Stage-2 module by name
+    bk_verify_block as bk_verify_block,
     load_token_order,
     make_pk_index,
     make_router,
@@ -188,8 +193,22 @@ def make_bk_rs_reducer(config: JoinConfig) -> Callable:
     record arrives (and vice versa), keeping candidate order, emitted
     pairs and all counters except ``stage2.batches`` bit-identical to
     the scalar loop.
+
+    The batched scan runs the filters of :func:`bk_verify` in the same
+    order but hoists everything that depends on one row of a pair: the
+    similarity methods are resolved once per reducer; each stored R row
+    gets its length bounds and bitmap slack (``size - popcount``) once,
+    when its block is packed; each S row gets its slack once and
+    memoizes the required overlap per distinct R size (with the S row
+    fixed, ``overlap_threshold`` depends on the R size alone).
+    Candidate and prune counters are added per R block and per flush,
+    with the same totals; sanitizer probes still run per prune.
     """
     batch_size = config.batch_size
+    sim, threshold = config.sim, config.threshold
+    length_bounds = sim.length_bounds
+    overlap_threshold = sim.overlap_threshold
+    similarity_from_overlap = sim.similarity_from_overlap
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
         sanitizer = make_sanitizer(config, ctx.counters)
@@ -226,7 +245,9 @@ def make_bk_rs_reducer(config: JoinConfig) -> Callable:
             return
 
         counters = ctx.counters
-        r_blocks: list[TokenBatch] = []
+        # stored R blocks, each beside its per-row length bounds and
+        # bitmap slack (``size - popcount(sig)``)
+        r_blocks: list[tuple[TokenBatch, list[int], list[int], list[int]]] = []
         stored_count = 0
         r_buf: list[tuple] = []
         s_buf: list[tuple] = []
@@ -241,7 +262,17 @@ def make_bk_rs_reducer(config: JoinConfig) -> Callable:
             block = TokenBatch.from_projections(r_buf)
             r_buf.clear()
             counters.increment(STAGE2_BATCHES)
-            r_blocks.append(block)
+            los: list[int] = []
+            his: list[int] = []
+            for n_r in block.true_sizes:
+                lo, hi = length_bounds(n_r, threshold)
+                los.append(lo)
+                his.append(hi)
+            slacks = [
+                0 if sig is None else block.size(ri) - sig.bit_count()
+                for ri, sig in enumerate(block.sigs)
+            ]
+            r_blocks.append((block, los, his, slacks))
             stored_count += block.count
 
         def flush_s() -> None:
@@ -250,18 +281,64 @@ def make_bk_rs_reducer(config: JoinConfig) -> Callable:
             block = TokenBatch.from_projections(s_buf)
             s_buf.clear()
             counters.increment(STAGE2_BATCHES)
+            pruned_length = 0
+            pruned_bitmap = 0
             for si in range(block.count):
-                for r_block in r_blocks:
+                n_s = block.true_sizes[si]
+                sig_s = block.sigs[si]
+                slack_s = 0 if sig_s is None else block.size(si) - sig_s.bit_count()
+                # alpha depends on the R size alone once the S row is fixed
+                alpha_of: dict[int, int] = {}
+                for r_block, los, his, slacks in r_blocks:
+                    counters.increment(CANDIDATE_PAIRS, r_block.count)
+                    r_sizes = r_block.true_sizes
+                    r_sigs = r_block.sigs
                     for ri in range(r_block.count):
-                        counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify_block(
-                            r_block, ri, block, si, config, counters, sanitizer
-                        )
-                        if similarity is not None:
-                            ctx.write(
-                                (r_block.rids[ri], block.rids[si], similarity)
+                        if not los[ri] <= n_s <= his[ri]:
+                            pruned_length += 1
+                            if sanitizer is not None:
+                                sanitizer.check_prune(
+                                    "length",
+                                    r_block.view(ri),
+                                    r_sizes[ri],
+                                    block.view(si),
+                                    n_s,
+                                )
+                            continue
+                        n_r = r_sizes[ri]
+                        alpha = alpha_of.get(n_r)
+                        if alpha is None:
+                            alpha = alpha_of[n_r] = overlap_threshold(
+                                n_r, n_s, threshold
                             )
+                        sig_r = r_sigs[ri]
+                        if sig_r is not None and sig_s is not None:
+                            slack_r = slacks[ri]
+                            bound = (sig_r & sig_s).bit_count() + (
+                                slack_r if slack_r < slack_s else slack_s
+                            )
+                            if bound < alpha:
+                                pruned_bitmap += 1
+                                if sanitizer is not None:
+                                    sanitizer.check_prune(
+                                        "bitmap",
+                                        r_block.view(ri),
+                                        n_r,
+                                        block.view(si),
+                                        n_s,
+                                    )
+                                continue
+                        common = r_block.overlap(ri, block, si)
+                        if common < alpha:
+                            continue
+                        similarity = similarity_from_overlap(n_r, n_s, common)
+                        if similarity >= threshold:
+                            ctx.write((r_block.rids[ri], block.rids[si], similarity))
                             counters.increment(PAIRS_OUTPUT)
+            if pruned_length:
+                counters.increment(PRUNED_LENGTH, pruned_length)
+            if pruned_bitmap:
+                counters.increment(PRUNED_BITMAP, pruned_bitmap)
 
         try:
             for value in values:

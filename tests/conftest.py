@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.prefixes import Projection
+from repro.core.similarity import SimilarityFunction
 from repro.core.tokenizers import WordTokenizer
 from repro.join.records import RecordSchema, join_value, make_line, rid_of
 from repro.mapreduce.cluster import ClusterConfig, SimulatedCluster
@@ -69,6 +71,42 @@ def oracle_projections(records: list[str], schema: RecordSchema = SCHEMA_1) -> l
 def pair_keys(pairs) -> list[tuple[int, int]]:
     """Strip similarity values, keeping canonical RID pairs."""
     return sorted({(min(a, b), max(a, b)) for a, b, _s in pairs})
+
+
+class CountingSim(SimilarityFunction):
+    """Delegating similarity that counts a kernel's bound calls:
+    ``calls`` per ``(nx, ny)`` for ``overlap_threshold`` and
+    ``length_bounds_calls`` per size.  The inner function's own helpers
+    call the inner methods, so only the kernel's calls are counted."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.calls = Counter()
+        self.length_bounds_calls = Counter()
+
+    def similarity(self, x, y):
+        return self.inner.similarity(x, y)
+
+    def overlap_threshold(self, nx, ny, threshold):
+        self.calls[(nx, ny)] += 1
+        return self.inner.overlap_threshold(nx, ny, threshold)
+
+    def length_bounds(self, n, threshold):
+        self.length_bounds_calls[n] += 1
+        return self.inner.length_bounds(n, threshold)
+
+    def similarity_from_overlap(self, nx, ny, overlap):
+        return self.inner.similarity_from_overlap(nx, ny, overlap)
+
+    def accepts_overlap(self, nx, ny, overlap, threshold):
+        return self.inner.accepts_overlap(nx, ny, overlap, threshold)
+
+    def prefix_length(self, n, threshold):
+        return self.inner.prefix_length(n, threshold)
+
+    def index_prefix_length(self, n, threshold):
+        return self.inner.index_prefix_length(n, threshold)
 
 
 @pytest.fixture(autouse=True)

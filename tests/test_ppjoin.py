@@ -11,8 +11,10 @@ from repro.core.naive import naive_rs_join, naive_self_join
 from repro.core.ppjoin import PPJoinIndex, ppjoin_rs_join, ppjoin_self_join
 from repro.core.prefixes import Projection
 from repro.core import ppjoin as ppjoin_module
-from repro.core.similarity import Cosine, Dice, Jaccard, SimilarityFunction
+from repro.core.similarity import Cosine, Dice, Jaccard
 from repro.core.verification import overlap
+
+from tests.conftest import CountingSim
 
 
 def projections(list_of_sets, base=0):
@@ -249,39 +251,6 @@ class _RecordingSanitizer:
         self.prunes.append((stage, tuple(y_tokens)))
 
 
-class _CountingSim(SimilarityFunction):
-    """Delegating similarity that counts ``overlap_threshold`` calls per
-    ``(nx, ny)`` (the inner function's own bound helpers call the inner
-    ``overlap_threshold``, so only the kernel's calls are counted)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = inner.name
-        self.calls = Counter()
-
-    def similarity(self, x, y):
-        return self.inner.similarity(x, y)
-
-    def overlap_threshold(self, nx, ny, threshold):
-        self.calls[(nx, ny)] += 1
-        return self.inner.overlap_threshold(nx, ny, threshold)
-
-    def length_bounds(self, n, threshold):
-        return self.inner.length_bounds(n, threshold)
-
-    def similarity_from_overlap(self, nx, ny, overlap):
-        return self.inner.similarity_from_overlap(nx, ny, overlap)
-
-    def accepts_overlap(self, nx, ny, overlap, threshold):
-        return self.inner.accepts_overlap(nx, ny, overlap, threshold)
-
-    def prefix_length(self, n, threshold):
-        return self.inner.prefix_length(n, threshold)
-
-    def index_prefix_length(self, n, threshold):
-        return self.inner.index_prefix_length(n, threshold)
-
-
 class TestProbeContract:
     """The per-probe bookkeeping of :meth:`PPJoinIndex.probe`: one
     entry state per candidate (pruned is final), one required-overlap
@@ -362,7 +331,7 @@ class TestProbeContract:
             (tuple(sorted(rng.sample(range(14), rng.randint(5, 8)))) for _ in range(120)),
             key=len,
         )
-        sim = _CountingSim(Jaccard())
+        sim = CountingSim(Jaccard())
         index = PPJoinIndex(sim, 0.5, mode=mode, bitmap_width=bitmap)
         reference = PPJoinIndex(Jaccard(), 0.5, mode=mode, bitmap_width=bitmap)
         if mode == "rs":
