@@ -230,11 +230,16 @@ class TestRsBkContract:
             **_bitmap_options(bitmap),
             **CONFIG,
         )
-        scalar = _run((r, s), JoinConfig(batch_size=None, **options), True, True)
+        scalar = _run(
+            (r, s), JoinConfig(batch_size=None, **options), rs=True, ordered=True
+        )
         assert scalar[0], "the workload must produce pairs"
         for batch_size in RS_BATCH_SIZES:
             batched = _run(
-                (r, s), JoinConfig(batch_size=batch_size, **options), True, True
+                (r, s),
+                JoinConfig(batch_size=batch_size, **options),
+                rs=True,
+                ordered=True,
             )
             assert batched == scalar, (similarity, bitmap, batch_size)
 
