@@ -17,7 +17,6 @@ best-of), so the JSON is produced even under ``--benchmark-disable``.
 """
 
 import json
-import os
 import statistics
 import time
 from functools import lru_cache
@@ -227,9 +226,8 @@ def test_bench_kernel_baseline(record_result):
 
     # batch-columnar verification, micro: the same candidate pairs
     # verified pair-at-a-time (the scalar merge loop) vs through one
-    # columnar TokenBatch (cached-frozenset C intersections).  Forced
-    # onto the stdlib path so the speedup claim holds without the
-    # optional [speed] extra; results must be bit-identical.
+    # columnar TokenBatch (cached-frozenset C intersections); results
+    # must be bit-identical.
     vtokens = [p.tokens for p in PROJS]
     vbatch = TokenBatch.from_token_arrays(vtokens)
     vpairs = [
@@ -247,21 +245,13 @@ def test_bench_kernel_baseline(record_result):
     def batch_verify():
         return verify_batch_pairs(vbatch, vpairs, SIM, 0.8)
 
-    numpy_override = os.environ.get("REPRO_NO_NUMPY")
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        assert batch_verify() == scalar_verify(), (
-            "batch verification diverged from the scalar merge"
-        )
-        scalar_times, batch_times = [], []
-        for _ in range(E2E_ROUNDS):  # interleaved so host noise hits both
-            scalar_times.append(_best_of(scalar_verify, rounds=1))
-            batch_times.append(_best_of(batch_verify, rounds=1))
-    finally:
-        if numpy_override is None:
-            del os.environ["REPRO_NO_NUMPY"]
-        else:
-            os.environ["REPRO_NO_NUMPY"] = numpy_override
+    assert batch_verify() == scalar_verify(), (
+        "batch verification diverged from the scalar merge"
+    )
+    scalar_times, batch_times = [], []
+    for _ in range(E2E_ROUNDS):  # interleaved so host noise hits both
+        scalar_times.append(_best_of(scalar_verify, rounds=1))
+        batch_times.append(_best_of(batch_verify, rounds=1))
     v_scalar, v_batch = min(scalar_times), min(batch_times)
     batch_speedup = v_scalar / v_batch
 
@@ -398,8 +388,7 @@ def test_bench_kernel_baseline(record_result):
         },
         "batch_verification": {
             "workload": (
-                f"dblp x1[:{NUM_RECORDS}], all-pairs verify, jaccard>=0.8, "
-                "stdlib path (REPRO_NO_NUMPY=1)"
+                f"dblp x1[:{NUM_RECORDS}], all-pairs verify, jaccard>=0.8"
             ),
             "pairs": len(vpairs),
             "rounds": E2E_ROUNDS,

@@ -667,6 +667,15 @@ def _key_subscripts(body: ast.AST, key_name: str) -> list[tuple[int, ast.Subscri
     return found
 
 
+def _selector_lambdas(expr: ast.expr) -> list[ast.Lambda]:
+    """The lambdas a job selector kwarg may evaluate to."""
+    if isinstance(expr, ast.Lambda):
+        return [expr]
+    if isinstance(expr, ast.IfExp):
+        return _selector_lambdas(expr.body) + _selector_lambdas(expr.orelse)
+    return []
+
+
 def _check_mr103(mod: _Module, shapes: _EmitShapes, findings: list[Finding]) -> None:
     if not shapes.keys_known or not shapes.key_arities:
         return
@@ -714,20 +723,22 @@ def _check_mr103(mod: _Module, shapes: _EmitShapes, findings: list[Finding]) -> 
             continue
         uses_shard_partition = False
         for kw in node.keywords:
-            if kw.arg not in _SELECTOR_KWARGS or not isinstance(kw.value, ast.Lambda):
+            if kw.arg not in _SELECTOR_KWARGS:
                 continue
-            lam = kw.value
-            lam_params = [a.arg for a in (*lam.args.posonlyargs, *lam.args.args)]
-            if not lam_params:
-                continue
-            check_body(lam.body, lam_params[0], f"{kw.arg} lambda")
-            for inner in ast.walk(lam.body):
-                if (
-                    isinstance(inner, ast.Call)
-                    and isinstance(inner.func, ast.Name)
-                    and inner.func.id in _PARTITION_HELPERS
-                ):
-                    uses_shard_partition = True
+            # a selector may be a lambda or a conditional choosing
+            # between lambdas (``(lambda ...) if split else (lambda ...)``)
+            for lam in _selector_lambdas(kw.value):
+                lam_params = [a.arg for a in (*lam.args.posonlyargs, *lam.args.args)]
+                if not lam_params:
+                    continue
+                check_body(lam.body, lam_params[0], f"{kw.arg} lambda")
+                for inner in ast.walk(lam.body):
+                    if (
+                        isinstance(inner, ast.Call)
+                        and isinstance(inner.func, ast.Name)
+                        and inner.func.id in _PARTITION_HELPERS
+                    ):
+                        uses_shard_partition = True
         if uses_shard_partition and is_stage2 and max_arity < 4:
             findings.append(
                 Finding(

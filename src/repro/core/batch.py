@@ -17,11 +17,10 @@ Row *i*'s tokens are the zero-copy ``memoryview`` slice
 ``tokens[offsets[i]:offsets[i+1]]`` — candidate scans and the PPJoin
 verify loop read straight out of the flat array and never materialize
 a per-record tuple or list.  Exact overlaps are computed with one
-C-level set intersection per pair (or, when the optional ``[speed]``
-extra provides numpy, a vectorized ``intersect1d`` over ``int32``
-views of the same buffer).  Both paths return the *exact* intersection
-cardinality, so batch verification is bit-for-bit identical to the
-scalar :func:`repro.core.verification.verify_pair` — similarities,
+C-level set intersection per pair over cached per-row frozensets.  It
+returns the *exact* intersection cardinality, so batch verification is
+bit-for-bit identical to the scalar
+:func:`repro.core.verification.verify_pair` — similarities,
 accept/reject decisions and filter counters included (differential-
 and property-tested).
 
@@ -35,7 +34,6 @@ order — the invariant every Stage-1 encoding already guarantees.
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -47,7 +45,6 @@ __all__ = [
     "REL_S",
     "TokenBatch",
     "batch_spans",
-    "numpy_or_none",
     "verify_rows",
 ]
 
@@ -57,33 +54,6 @@ REL_S = 1
 
 _INT_MAX = (1 << 31) - 1
 _INT_MIN = -(1 << 31)
-
-_np_module = None
-_np_checked = False
-
-
-def numpy_or_none():
-    """The numpy module when the optional ``[speed]`` extra is usable,
-    else ``None``.
-
-    ``REPRO_NO_NUMPY=1`` force-disables the fast path (the CI speed
-    matrix runs the micro benches both ways and asserts identical
-    outputs).  The import result is cached; the environment override is
-    consulted on every call so tests can toggle it.
-    """
-    global _np_module, _np_checked
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    if not _np_checked:
-        _np_checked = True
-        try:
-            import numpy  # noqa: PLC0415 - optional dependency
-
-            _np_module = numpy
-        except ImportError:  # pragma: no cover - depends on environment
-            _np_module = None
-    return _np_module
-
 
 def batch_spans(count: int, batch_size: int) -> list[tuple[int, int]]:
     """Contiguous ``(start, stop)`` row spans covering ``count`` rows in
@@ -117,7 +87,6 @@ class TokenBatch:
         "offsets",
         "rows",
         "_mv",
-        "_np_flat",
         "_sets",
     )
 
@@ -144,7 +113,6 @@ class TokenBatch:
         #: object column for non-integer encodings or ``None``
         self.rows = rows
         self._mv = memoryview(tokens) if tokens is not None else None
-        self._np_flat = None
         #: lazily built per-row frozensets (the stdlib overlap path)
         self._sets: list[frozenset | None] = [None] * count
 
@@ -222,30 +190,10 @@ class TokenBatch:
             self._sets[i] = cached
         return cached
 
-    def _np_view(self, i: int):
-        np = numpy_or_none()
-        if np is None or self.tokens is None:
-            return None
-        if self._np_flat is None:
-            self._np_flat = np.frombuffer(self.tokens, dtype=np.int32)
-        assert self.offsets is not None
-        return self._np_flat[self.offsets[i] : self.offsets[i + 1]]
-
     def overlap(self, i: int, other: "TokenBatch", j: int) -> int:
-        """Exact ``|row_i ∩ other.row_j|``.
-
-        numpy path: sorted-unique ``intersect1d`` over ``int32`` views
-        of the flat buffers.  stdlib path: one C-level frozenset
-        intersection.  Both are exact, so any consumer that branches on
-        the cardinality behaves identically either way.
-        """
-        a = self._np_view(i)
-        if a is not None:
-            b = other._np_view(j)
-            if b is not None:
-                np = numpy_or_none()
-                assert np is not None
-                return int(np.intersect1d(a, b, assume_unique=True).size)
+        """Exact ``|row_i ∩ other.row_j|``: one C-level frozenset
+        intersection, so any consumer that branches on the cardinality
+        behaves exactly like the scalar merge."""
         return len(self.token_set(i) & other.token_set(j))
 
 

@@ -21,7 +21,7 @@ from repro.core.ppjoin import PPJoinIndex
 from repro.join.config import JoinConfig
 from repro.join.driver import JoinReport, _num_reducers
 from repro.join.stage1 import stage1_jobs
-from repro.join.stage2 import PAIRS_OUTPUT, load_token_order, make_router, project_record
+from repro.join.stage2 import PAIRS_OUTPUT, make_map_setup, project_record
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.job import Context, MapReduceJob
 from repro.mapreduce.pipeline import run_pipeline
@@ -36,12 +36,7 @@ def full_record_job(
 ) -> MapReduceJob:
     """One job that replaces Stages 2+3: values are whole record lines."""
     sim, threshold = config.sim, config.threshold
-    state: dict = {}
-
-    def map_setup(ctx: Context) -> None:
-        order = load_token_order(ctx, token_order_file)
-        state["order"] = order
-        state["routes"] = make_router(config, order)
+    state, map_setup = make_map_setup(config, token_order_file, None)
 
     def mapper(line: str, ctx: Context) -> None:
         rid, ranks, _true = project_record(line, config, state["order"], "error")

@@ -17,20 +17,25 @@ lets the PK kernel evict index entries below the length-filter lower
 bound (Section 3.2.2) and the R-S kernel stream R before S
 (Section 4).  The relation component is 0 for self-joins.
 
-Reducers:
+Reducers, one per kernel role (the self-join, split-shard and R-S
+variants only differ in which tagged rows store, stream or probe, and
+in the pair writer):
 
 * **BK** (Basic Kernel) — materializes the group (memory-metered) and
   verifies its cross product pairwise with the length filter plus
-  merge-based verification.
+  merge-based verification (:func:`make_bk_self_reducer`); split
+  shards and R-S groups store the ``REL_R`` rows and stream the rest
+  (:func:`repro.join.stage2_rs.make_bk_rs_reducer`).
 * **PK** (PPJoin+ Kernel) — runs :class:`repro.core.ppjoin.PPJoinIndex`
-  over the length-sorted stream.
+  over the length-sorted stream (:func:`make_pk_reducer`, all three
+  roles).
 
 Both may emit the same RID pair from different groups; duplicates are
 eliminated in Stage 3, per the paper.  Output records are
 ``(rid1, rid2, similarity)`` with ``rid1 < rid2``.
 
 Section 5 plugs into the BK path in two forms: block processing
-(see :mod:`repro.join.blocks` and the ``*_blocks_*`` reducers here)
+(see :mod:`repro.join.blocks` and the ``*_blocks_*`` reducers)
 and the length filter as a *secondary routing criterion*
 (``JoinConfig.length_class_width`` — reducer keys become
 ``(token, length-class)`` so each reduce step holds one class).
@@ -244,6 +249,23 @@ def project_record(
     return rid, tokens, len(raw)
 
 
+def make_map_setup(
+    config: JoinConfig, token_order_file: str, plan: "Stage2Plan | None"
+) -> tuple[dict, Callable]:
+    """The Stage-2 mappers' shared ``map_setup`` hook and the per-task
+    state it fills: the token order, the router and the resolved
+    hot-route splits."""
+    state: dict = {}
+
+    def map_setup(ctx: Context) -> None:
+        order = load_token_order(ctx, token_order_file)
+        state["order"] = order
+        state["routes"] = make_router(config, order)
+        state["splits"] = resolve_splits(plan, config, order)
+
+    return state, map_setup
+
+
 def make_self_mapper(
     config: JoinConfig,
     blocks: BlockPolicy | None,
@@ -261,14 +283,7 @@ def make_self_mapper(
     """
     sim, threshold = config.sim, config.threshold
     split_mode = plan is not None and bool(plan.splits)
-    state: dict = {}
-
-    def map_setup(ctx: Context) -> None:
-        order = load_token_order(ctx, token_order_file)
-        state["order"] = order
-        state["routes"] = make_router(config, order)
-        state["splits"] = resolve_splits(plan, config, order)
-
+    state, map_setup = make_map_setup(config, token_order_file, plan)
     width = config.length_class_width
     bitmap_width = config.bitmap_width if config.bitmap_filter else None
 
@@ -421,9 +436,27 @@ def _write_self_pair(ctx: Context, rid1: int, rid2: int, similarity: float) -> N
     ctx.counters.increment(PAIRS_OUTPUT)
 
 
+def _write_rs_pair(ctx: Context, r_rid: int, s_rid: int, similarity: float) -> None:
+    ctx.write((r_rid, s_rid, similarity))
+    ctx.counters.increment(PAIRS_OUTPUT)
+
+
 # ---------------------------------------------------------------------------
-# self-join reducers
+# reducers
 # ---------------------------------------------------------------------------
+#
+# Every reducer below stores, streams or probes a record by its tag;
+# the self-join, split-shard and R-S variants differ only in which
+# rows take which role and in the pair writer.  Writers take the rids
+# as ``(stored/indexed, streamed/probing)``.
+#
+# A split shard's value stream carries two copies per group record: an
+# add copy (REL_R, replicated to every shard) and — for the 1/k of the
+# records homed here — a probe copy (REL_S) sorted immediately before
+# its own add copy.  Each role is performed exactly once per record
+# across the shards, against the same arrival-ordered add sequence the
+# unsplit reducer sees, so pairs and filter counters sum to exactly the
+# unsplit run's (the admissibility argument in DESIGN.md §5g).
 
 
 def make_bk_self_reducer(config: JoinConfig) -> Callable:
@@ -493,48 +526,70 @@ def make_bk_self_reducer(config: JoinConfig) -> Callable:
     return reducer
 
 
-def make_pk_self_reducer(config: JoinConfig) -> Callable:
-    """PPJoin+ Kernel over the length-sorted value stream.
+def make_pk_reducer(
+    config: JoinConfig, mode: str = "self", tagged: bool = False
+) -> Callable:
+    """PPJoin+ Kernel over one length-sorted group, in one of three
+    stream roles (the index ``mode`` plus ``tagged``, exactly as
+    :meth:`PPJoinIndex.probe_batch` defines them):
 
-    With ``config.batch_size`` set the stream is packed into columnar
-    :class:`TokenBatch` blocks and driven through
+    * ``self`` — every record probes, then joins the index;
+    * ``self`` with ``tagged=True`` — one shard of a split group: add
+      copies only insert, probe copies only probe.  Because every shard
+      indexes the full add sequence and a probe sorts exactly where the
+      record's own dual-role copy would, the index state at each probe
+      — eviction frontier included — matches the unsplit run's;
+    * ``rs`` — R rows are indexed, S rows probe with their true size;
+      the length-class keys stream every R row before the S rows it
+      can pair with, so too-short R entries can be evicted.
+
+    With ``config.batch_size`` set the stream is packed, in arrival
+    order, into columnar :class:`TokenBatch` blocks driven through
     :meth:`PPJoinIndex.probe_batch` — the index holds zero-copy views
-    into the flat arrays instead of per-record tuples.  Per-record
-    memory metering (and therefore OOM timing) matches the scalar loop
-    via the ``meter`` callback.
+    into the flat arrays instead of per-record tuples.  The scalar
+    ``batch_size=None`` loop is that method's per-row body and doubles
+    as the differential oracle.  One ``meter`` charges index growth
+    after every record on both paths, so memory accounting and OOM
+    timing are identical.
     """
     batch_size = config.batch_size
+    rs = mode == "rs"
+    write_pair = _write_rs_pair if rs else _write_self_pair
+    index_what = "PK index (R partition)" if rs else "PK index"
+    group_of = _projection_rel if rs else None
+    dual_role = mode == "self" and not tagged
 
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
+    def reducer(route, values: Iterator, ctx: Context) -> None:
         sanitizer = make_sanitizer(config, ctx.counters)
-        index = make_pk_index(config, mode="self", evict=True, sanitizer=sanitizer)
+        index = make_pk_index(config, mode=mode, evict=True, sanitizer=sanitizer)
         if sanitizer is not None:
-            values = sanitizer.sorted_values(values, _projection_size)
+            values = sanitizer.sorted_values(
+                values, _projection_size, group_of=group_of
+            )
+        charged = 0
+
+        def meter() -> None:
+            nonlocal charged
+            delta = index.live_bytes - charged
+            if delta >= 0:
+                ctx.reserve_memory(delta, index_what)
+            else:
+                ctx.release_memory(-delta)
+            charged = index.live_bytes
+
         group_records = 0
         if batch_size is None:
-            charged = 0
-            for _rel, rid, _n, sig, ranks in values:
+            for rel, rid, true_size, sig, ranks in values:
                 group_records += 1
-                for other_rid, similarity in index.probe(rid, ranks, signature=sig):
-                    _write_self_pair(ctx, rid, other_rid, similarity)
-                index.add(rid, ranks, signature=sig)
-                delta = index.live_bytes - charged
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index")
-                else:
-                    ctx.release_memory(-delta)
-                charged = index.live_bytes
+                if dual_role or rel != REL_R:
+                    for other_rid, similarity in index.probe(
+                        rid, ranks, true_size=true_size, signature=sig
+                    ):
+                        write_pair(ctx, other_rid, rid, similarity)
+                if dual_role or rel == REL_R:
+                    index.add(rid, ranks, signature=sig)
+                meter()
         else:
-            state = {"charged": 0}
-
-            def meter() -> None:
-                delta = index.live_bytes - state["charged"]
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index")
-                else:
-                    ctx.release_memory(-delta)
-                state["charged"] = index.live_bytes
-
             buffered: list[tuple] = []
 
             def flush() -> None:
@@ -545,9 +600,11 @@ def make_pk_self_reducer(config: JoinConfig) -> Callable:
                 ctx.counters.increment(STAGE2_BATCHES)
 
                 def emit(row: int, other_rid: int, similarity: float) -> None:
-                    _write_self_pair(ctx, block.rids[row], other_rid, similarity)
+                    write_pair(ctx, other_rid, block.rids[row], similarity)
 
-                index.probe_batch(block, 0, block.count, emit, meter=meter)
+                index.probe_batch(
+                    block, 0, block.count, emit, meter=meter, tagged=tagged
+                )
 
             for value in values:
                 group_records += 1
@@ -555,7 +612,6 @@ def make_pk_self_reducer(config: JoinConfig) -> Callable:
                 if len(buffered) >= batch_size:
                     flush()
             flush()
-            charged = state["charged"]
         ctx.observe("stage2.group_records", group_records)
         if sanitizer is not None:
             sanitizer.check_index_accounting(index)
@@ -566,139 +622,30 @@ def make_pk_self_reducer(config: JoinConfig) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# self-join reducers for split (sharded) hot groups
+# Section 5 reducers (BK only)
 # ---------------------------------------------------------------------------
 #
-# A split shard's value stream carries two copies per group record: an
-# add copy (REL_R, replicated to every shard) and — for the 1/k of the
-# records homed here — a probe copy (REL_S) sorted immediately before
-# its own add copy.  Each role is performed exactly once per record
-# across the shards, against the same arrival-ordered add sequence the
-# unsplit reducer sees, so pairs and filter counters sum to exactly the
-# unsplit run's (the admissibility argument in DESIGN.md §5g).
+# Block streams are ordered by step/block, not by set size, so the
+# sanitizer checks filter admissibility here but not sortedness.
 
 
-def make_bk_split_self_reducer(config: JoinConfig) -> Callable:
-    """Basic Kernel over one shard of a split group.
-
-    Stores the replicated add copies; each probe copy verifies against
-    every add stored so far — precisely the ``j < i`` half-loop of the
-    unsplit nested loop, restricted to the probes homed on this shard.
-    Runs scalar always: probe/add copies interleave at the record
-    grain, so columnar blocks would degenerate to single rows.
-    """
-
-    def reducer(route, values: Iterator, ctx: Context) -> None:
-        sanitizer = make_sanitizer(config, ctx.counters)
-        if sanitizer is not None:
-            values = sanitizer.sorted_values(values, _projection_size)
-        counters = ctx.counters
-        stored: list[tuple] = []
-        charged = 0
-        group_records = 0
-        try:
-            for value in values:
-                group_records += 1
-                if value[0] == REL_R:
-                    charged += ctx.reserve_memory_for(value, "BK candidate list")
-                    stored.append(value)
-                    continue
-                for other in stored:
-                    counters.increment(CANDIDATE_PAIRS)
-                    similarity = bk_verify(other, value, config, counters, sanitizer)
-                    if similarity is not None:
-                        _write_self_pair(ctx, other[1], value[1], similarity)
-            ctx.observe("stage2.group_records", group_records)
-        finally:
-            ctx.release_memory(charged)
-
-    return reducer
-
-
-def make_pk_split_self_reducer(config: JoinConfig) -> Callable:
-    """PPJoin+ Kernel over one shard of a split group.
-
-    The index is the *self-mode* index (same prefixes, filters and
-    eviction as the unsplit reducer) driven in tagged mode: add copies
-    only insert, probe copies only probe.  Because every shard indexes
-    the full add sequence and a probe sorts exactly where the record's
-    own dual-role copy would, the index state at each probe — eviction
-    frontier included — matches the unsplit run's bit for bit.
-    """
-    batch_size = config.batch_size
-
-    def reducer(route, values: Iterator, ctx: Context) -> None:
-        sanitizer = make_sanitizer(config, ctx.counters)
-        index = make_pk_index(config, mode="self", evict=True, sanitizer=sanitizer)
-        if sanitizer is not None:
-            values = sanitizer.sorted_values(values, _projection_size)
-        group_records = 0
-        if batch_size is None:
-            charged = 0
-            for rel, rid, _n, sig, ranks in values:
-                group_records += 1
-                if rel == REL_R:
-                    index.add(rid, ranks, signature=sig)
-                else:
-                    for other_rid, similarity in index.probe(rid, ranks, signature=sig):
-                        _write_self_pair(ctx, rid, other_rid, similarity)
-                delta = index.live_bytes - charged
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index")
-                else:
-                    ctx.release_memory(-delta)
-                charged = index.live_bytes
-        else:
-            state = {"charged": 0}
-
-            def meter() -> None:
-                delta = index.live_bytes - state["charged"]
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index")
-                else:
-                    ctx.release_memory(-delta)
-                state["charged"] = index.live_bytes
-
-            buffered: list[tuple] = []
-
-            def flush() -> None:
-                if not buffered:
-                    return
-                block = TokenBatch.from_projections(buffered)
-                buffered.clear()
-                ctx.counters.increment(STAGE2_BATCHES)
-
-                def emit(row: int, other_rid: int, similarity: float) -> None:
-                    _write_self_pair(ctx, block.rids[row], other_rid, similarity)
-
-                index.probe_batch(block, 0, block.count, emit, meter=meter, tagged=True)
-
-            for value in values:
-                group_records += 1
-                buffered.append(value)
-                if len(buffered) >= batch_size:
-                    flush()
-            flush()
-            charged = state["charged"]
-        ctx.observe("stage2.group_records", group_records)
-        if sanitizer is not None:
-            sanitizer.check_index_accounting(index)
-        merge_index_filter_stats(ctx, index)
-        ctx.release_memory(charged)
-
-    return reducer
-
-
-# ---------------------------------------------------------------------------
-# self-join reducers with Section 5 block processing (BK only)
-# ---------------------------------------------------------------------------
-
-
-def make_bk_self_map_blocks_reducer(config: JoinConfig) -> Callable:
+def make_bk_map_blocks_reducer(config: JoinConfig, self_join: bool) -> Callable:
     """Map-based block processing: the mapper interleaved load/stream
-    copies; only the currently loaded block is held in memory."""
+    copies; only the currently loaded block is held in memory.
+
+    Values arrive as ``(step, role, projection)``.  Stream-role records
+    verify against the loaded block.  In a self-join a load-role record
+    also verifies against the records loaded before it (the block joins
+    itself); in an R-S join only R records load, and only S records
+    stream.  Self-join length-class routing (Section 5, first
+    paragraph) has the same shape, with the length class as the step.
+    """
+    write_pair = _write_self_pair if self_join else _write_rs_pair
+    loaded_what = "BK loaded block" if self_join else "BK loaded R block"
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
+        sanitizer = make_sanitizer(config, ctx.counters)
+        counters = ctx.counters
         loaded: list[tuple] = []
         charged = 0
         current_step = -1
@@ -710,13 +657,16 @@ def make_bk_self_map_blocks_reducer(config: JoinConfig) -> Callable:
                     loaded = []
                     current_step = step
                 projection = (rel, rid, n, sig, ranks)
-                for other in loaded:
-                    ctx.counters.increment(CANDIDATE_PAIRS)
-                    similarity = bk_verify(other, projection, config, ctx.counters)
-                    if similarity is not None:
-                        _write_self_pair(ctx, other[1], rid, similarity)
+                if self_join or role != ROLE_LOAD:
+                    for other in loaded:
+                        counters.increment(CANDIDATE_PAIRS)
+                        similarity = bk_verify(
+                            other, projection, config, counters, sanitizer
+                        )
+                        if similarity is not None:
+                            write_pair(ctx, other[1], rid, similarity)
                 if role == ROLE_LOAD:
-                    charged += ctx.reserve_memory_for(projection, "BK loaded block")
+                    charged += ctx.reserve_memory_for(projection, loaded_what)
                     loaded.append(projection)
         finally:
             ctx.release_memory(charged)
@@ -729,6 +679,7 @@ def make_bk_self_reduce_blocks_reducer(config: JoinConfig) -> Callable:
     and re-read them for the remaining steps (Figure 7(b))."""
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
+        sanitizer = make_sanitizer(config, ctx.counters)
         loaded: list[tuple] = []
         charged = 0
         loaded_block = None
@@ -741,7 +692,9 @@ def make_bk_self_reduce_blocks_reducer(config: JoinConfig) -> Callable:
                 if block == loaded_block:
                     for other in loaded:
                         ctx.counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify(other, projection, config, ctx.counters)
+                        similarity = bk_verify(
+                            other, projection, config, ctx.counters, sanitizer
+                        )
                         if similarity is not None:
                             _write_self_pair(ctx, other[1], rid, similarity)
                     charged += ctx.reserve_memory_for(projection, "BK loaded block")
@@ -749,7 +702,9 @@ def make_bk_self_reduce_blocks_reducer(config: JoinConfig) -> Callable:
                 else:
                     for other in loaded:
                         ctx.counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify(other, projection, config, ctx.counters)
+                        similarity = bk_verify(
+                            other, projection, config, ctx.counters, sanitizer
+                        )
                         if similarity is not None:
                             _write_self_pair(ctx, other[1], rid, similarity)
                     spilled.setdefault(block, []).append(projection)
@@ -774,7 +729,9 @@ def make_bk_self_reduce_blocks_reducer(config: JoinConfig) -> Callable:
                     )
                     for other in loaded:
                         ctx.counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify(other, projection, config, ctx.counters)
+                        similarity = bk_verify(
+                            other, projection, config, ctx.counters, sanitizer
+                        )
                         if similarity is not None:
                             _write_self_pair(ctx, other[1], projection[1], similarity)
                     charged += ctx.reserve_memory_for(projection, "BK loaded block")
@@ -790,7 +747,7 @@ def make_bk_self_reduce_blocks_reducer(config: JoinConfig) -> Callable:
                         for other in loaded:
                             ctx.counters.increment(CANDIDATE_PAIRS)
                             similarity = bk_verify(
-                                other, projection, config, ctx.counters
+                                other, projection, config, ctx.counters, sanitizer
                             )
                             if similarity is not None:
                                 _write_self_pair(
@@ -821,7 +778,8 @@ def stage2_self_job(
     ``(route, shard, length, relation)`` key shape: partitioning goes
     through :func:`shard_partition` (unsplit routes keep their classic
     placement), grouping is on ``(route, shard)``, and split-shard
-    groups (``shard >= 0``) dispatch to the split reducers.
+    groups (``shard >= 0``) dispatch to the tagged split-shard role of
+    the configured kernel.
     """
     blocks = config.blocks
     if blocks is not None and config.kernel != "bk":
@@ -843,26 +801,24 @@ def stage2_self_job(
             "drop blocks/length_class_width or run without splits"
         )
     map_setup, mapper = make_self_mapper(config, blocks, token_order_file, plan)
-    if blocks is None and config.length_class_width is None:
-        reducer = (
-            make_pk_self_reducer(config)
-            if config.kernel == "pk"
-            else make_bk_self_reducer(config)
-        )
+    if config.kernel == "pk":
+        reducer = make_pk_reducer(config)
     elif blocks is not None and blocks.strategy != MAP_BASED:
         reducer = make_bk_self_reduce_blocks_reducer(config)
+    elif blocks is not None or config.length_class_width is not None:
+        reducer = make_bk_map_blocks_reducer(config, self_join=True)
     else:
-        # Map-based Section-5 blocks and length-class routing share one
-        # reduce shape: values arrive as (step/class, role, projection),
-        # load-role records are held (and self-joined), stream-role
-        # records verify against the loaded set only.
-        reducer = make_bk_self_map_blocks_reducer(config)
+        reducer = make_bk_self_reducer(config)
 
     if split_mode:
+        # the R-S module imports this one; its store/stream BK reducer
+        # runs the split shards of a self-join group too
+        from repro.join.stage2_rs import make_bk_rs_reducer
+
         split_reducer = (
-            make_pk_split_self_reducer(config)
+            make_pk_reducer(config, tagged=True)
             if config.kernel == "pk"
-            else make_bk_split_self_reducer(config)
+            else make_bk_rs_reducer(config, split_self=True)
         )
         plain_reducer = reducer
 
@@ -872,20 +828,7 @@ def stage2_self_job(
             else:
                 plain_reducer(key, values, ctx)
 
-        return MapReduceJob(
-            name=f"stage2-{config.kernel}-self",
-            inputs=[records_file],
-            output=output,
-            mapper=mapper,
-            reducer=dispatch_reducer,
-            num_reducers=num_reducers,
-            partition=lambda key: key[0],
-            partitioner=lambda key, n: shard_partition(key[0], key[1], n),
-            sort_key=lambda key: key,
-            group_key=lambda key: (key[0], key[1]),
-            broadcast=[token_order_file],
-            map_setup=map_setup,
-        )
+        reducer = dispatch_reducer
 
     return MapReduceJob(
         name=f"stage2-{config.kernel}-self",
@@ -895,8 +838,11 @@ def stage2_self_job(
         reducer=reducer,
         num_reducers=num_reducers,
         partition=lambda key: key[0],
+        partitioner=(
+            (lambda key, n: shard_partition(key[0], key[1], n)) if split_mode else None
+        ),
         sort_key=lambda key: key,
-        group_key=lambda key: key[0],
+        group_key=(lambda key: (key[0], key[1])) if split_mode else (lambda key: key[0]),
         broadcast=[token_order_file],
         map_setup=map_setup,
     )

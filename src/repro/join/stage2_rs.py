@@ -22,10 +22,15 @@ manipulation:
 self-join module) extends keys to ``(route, shard, class, relation,
 length)``: a split route replicates its R records to every shard and
 partitions its S records by home shard — the textbook
-fragment-replicate split, which the *unmodified* R-S reducers already
-handle because their roles are purely tag-driven.  Every shard streams
+fragment-replicate split, which the R-S reducers already handle
+because their roles are purely tag-driven.  Every shard streams
 the complete R side before its ``1/k`` slice of S, so pairs and filter
 counters sum to exactly the unsplit run's.
+
+The PK and map-based-blocks reducers are shared with the self-join
+module (:func:`repro.join.stage2.make_pk_reducer` in ``rs`` mode,
+:func:`repro.join.stage2.make_bk_map_blocks_reducer`); the BK
+store/stream reducer here also runs the split shards of a self-join.
 
 Output records are ``(r_rid, s_rid, similarity)``.
 """
@@ -56,17 +61,17 @@ from repro.join.stage2 import (
     STAGE2_BATCHES,
     _projection_rel,
     _projection_size,
+    _write_rs_pair,
+    _write_self_pair,
     bk_verify,
     # unused here since the batched scan inlines its filters; kept bound
     # because the per-layer tracer (perfbench/tracing.py) wraps
     # ``bk_verify_block`` in every Stage-2 module by name
     bk_verify_block as bk_verify_block,
-    load_token_order,
-    make_pk_index,
-    make_router,
-    merge_index_filter_stats,
+    make_bk_map_blocks_reducer,
+    make_map_setup,
+    make_pk_reducer,
     project_record,
-    resolve_splits,
 )
 from repro.mapreduce.hashing import shard_of, shard_partition
 from repro.mapreduce.job import Context, MapReduceJob
@@ -107,14 +112,7 @@ def make_rs_mapper(
     """
     sim, threshold = config.sim, config.threshold
     split_mode = plan is not None and bool(plan.splits)
-    state: dict = {}
-
-    def map_setup(ctx: Context) -> None:
-        order = load_token_order(ctx, token_order_file)
-        state["order"] = order
-        state["routes"] = make_router(config, order)
-        state["splits"] = resolve_splits(plan, config, order)
-
+    state, map_setup = make_map_setup(config, token_order_file, plan)
     bitmap_width = config.bitmap_width if config.bitmap_filter else None
 
     def mapper(line: str, ctx: Context) -> None:
@@ -169,23 +167,25 @@ def make_rs_mapper(
     return map_setup, mapper
 
 
-def _write_rs_pair(
-    ctx: Context, r_proj: tuple, s_proj: tuple, similarity: float
-) -> None:
-    ctx.write((r_proj[1], s_proj[1], similarity))
-    ctx.counters.increment(PAIRS_OUTPUT)
-
-
 # ---------------------------------------------------------------------------
-# reducers
+# reducers (the rest are shared with the self-join module)
 # ---------------------------------------------------------------------------
 
 
-def make_bk_rs_reducer(config: JoinConfig) -> Callable:
-    """Basic Kernel, R-S: store the R projections (they sort first),
-    stream S against them.
+def make_bk_rs_reducer(config: JoinConfig, split_self: bool = False) -> Callable:
+    """Basic Kernel, store/stream: store the ``REL_R`` projections,
+    stream every other record against the ones stored so far.
 
-    The batched path (``config.batch_size`` set) packs *runs* of
+    Two stream roles share it.  In an R-S group the R projections sort
+    first in each length class (Section 4).  In one shard of a split
+    self-join group (``split_self=True``) the replicated add copies are
+    stored and each at-home probe copy verifies against every add
+    before it — precisely the ``j < i`` half-loop of the unsplit nested
+    loop, restricted to the probes homed on the shard.  A split shard
+    runs the scalar loop always: probe/add copies interleave at the
+    record grain, so columnar blocks would degenerate to single rows.
+
+    The batched R-S path (``config.batch_size`` set) packs *runs* of
     same-relation records into columnar :class:`TokenBatch` blocks.
     R and S interleave across length classes inside one group, and the
     scalar loop verifies each S against exactly the R records that
@@ -204,20 +204,23 @@ def make_bk_rs_reducer(config: JoinConfig) -> Callable:
     Candidate and prune counters are added per R block and per flush,
     with the same totals; sanitizer probes still run per prune.
     """
-    batch_size = config.batch_size
+    batch_size = None if split_self else config.batch_size
+    write_pair = _write_self_pair if split_self else _write_rs_pair
+    stored_what = "BK candidate list" if split_self else "BK stored R partition"
+    group_of = None if split_self else _projection_rel
     sim, threshold = config.sim, config.threshold
     length_bounds = sim.length_bounds
     overlap_threshold = sim.overlap_threshold
     similarity_from_overlap = sim.similarity_from_overlap
 
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
+    def reducer(route, values: Iterator, ctx: Context) -> None:
         sanitizer = make_sanitizer(config, ctx.counters)
         if sanitizer is not None:
             values = sanitizer.sorted_values(
-                values, _projection_size, group_of=_projection_rel
+                values, _projection_size, group_of=group_of
             )
         if batch_size is None:
-            stored_r: list[tuple] = []
+            stored: list[tuple] = []
             charged = 0
             group_records = 0
             group_candidates = 0
@@ -225,21 +228,20 @@ def make_bk_rs_reducer(config: JoinConfig) -> Callable:
                 for value in values:
                     group_records += 1
                     if value[0] == REL_R:
-                        charged += ctx.reserve_memory_for(
-                            value, "BK stored R partition"
-                        )
-                        stored_r.append(value)
+                        charged += ctx.reserve_memory_for(value, stored_what)
+                        stored.append(value)
                         continue
-                    group_candidates += len(stored_r)
-                    for r_proj in stored_r:
+                    group_candidates += len(stored)
+                    for other in stored:
                         ctx.counters.increment(CANDIDATE_PAIRS)
                         similarity = bk_verify(
-                            r_proj, value, config, ctx.counters, sanitizer
+                            other, value, config, ctx.counters, sanitizer
                         )
                         if similarity is not None:
-                            _write_rs_pair(ctx, r_proj, value, similarity)
+                            write_pair(ctx, other[1], value[1], similarity)
                 ctx.observe("stage2.group_records", group_records)
-                ctx.observe("stage2.group_candidates", group_candidates)
+                if not split_self:
+                    ctx.observe("stage2.group_candidates", group_candidates)
             finally:
                 ctx.release_memory(charged)
             return
@@ -345,7 +347,7 @@ def make_bk_rs_reducer(config: JoinConfig) -> Callable:
                 group_records += 1
                 if value[0] == REL_R:
                     flush_s()
-                    charged += ctx.reserve_memory_for(value, "BK stored R partition")
+                    charged += ctx.reserve_memory_for(value, stored_what)
                     r_buf.append(value)
                     if len(r_buf) >= batch_size:
                         flush_r()
@@ -364,123 +366,13 @@ def make_bk_rs_reducer(config: JoinConfig) -> Callable:
     return reducer
 
 
-def make_pk_rs_reducer(config: JoinConfig) -> Callable:
-    """PPJoin+ Kernel, R-S: index R, probe S, with the length-class
-    stream enabling eviction of too-short R entries.
-
-    The batched path packs the mixed R/S stream into columnar
-    :class:`TokenBatch` blocks in arrival order and drives them through
-    :meth:`PPJoinIndex.probe_batch` (rs mode: R rows add, S rows probe
-    with their true size) — row order inside a block preserves the
-    R-before-S causality the length-class keys establish.
-    """
-    batch_size = config.batch_size
-
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        sanitizer = make_sanitizer(config, ctx.counters)
-        index = make_pk_index(config, mode="rs", evict=True, sanitizer=sanitizer)
-        if sanitizer is not None:
-            values = sanitizer.sorted_values(
-                values, _projection_size, group_of=_projection_rel
-            )
-        group_records = 0
-        if batch_size is None:
-            charged = 0
-            for rel, rid, true_size, sig, ranks in values:
-                group_records += 1
-                if rel == REL_R:
-                    index.add(rid, ranks, signature=sig)
-                else:
-                    for r_rid, similarity in index.probe(
-                        rid, ranks, true_size=true_size, signature=sig
-                    ):
-                        ctx.write((r_rid, rid, similarity))
-                        ctx.counters.increment(PAIRS_OUTPUT)
-                delta = index.live_bytes - charged
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index (R partition)")
-                else:
-                    ctx.release_memory(-delta)
-                charged = index.live_bytes
-        else:
-            state = {"charged": 0}
-
-            def meter() -> None:
-                delta = index.live_bytes - state["charged"]
-                if delta >= 0:
-                    ctx.reserve_memory(delta, "PK index (R partition)")
-                else:
-                    ctx.release_memory(-delta)
-                state["charged"] = index.live_bytes
-
-            buffered: list[tuple] = []
-
-            def flush() -> None:
-                if not buffered:
-                    return
-                block = TokenBatch.from_projections(buffered)
-                buffered.clear()
-                ctx.counters.increment(STAGE2_BATCHES)
-
-                def emit(row: int, r_rid: int, similarity: float) -> None:
-                    ctx.write((r_rid, block.rids[row], similarity))
-                    ctx.counters.increment(PAIRS_OUTPUT)
-
-                index.probe_batch(block, 0, block.count, emit, meter=meter)
-
-            for value in values:
-                group_records += 1
-                buffered.append(value)
-                if len(buffered) >= batch_size:
-                    flush()
-            flush()
-            charged = state["charged"]
-        ctx.observe("stage2.group_records", group_records)
-        if sanitizer is not None:
-            sanitizer.check_index_accounting(index)
-        merge_index_filter_stats(ctx, index)
-        ctx.release_memory(charged)
-
-    return reducer
-
-
-def make_bk_rs_map_blocks_reducer(config: JoinConfig) -> Callable:
-    """Map-based block processing, R-S: R blocks are loaded one per
-    step; the S stream is replicated against every step."""
-
-    def reducer(route: int, values: Iterator, ctx: Context) -> None:
-        loaded: list[tuple] = []
-        charged = 0
-        current_step = -1
-        try:
-            for step, role, rel, rid, true_size, sig, ranks in values:
-                if step != current_step:
-                    ctx.release_memory(charged)
-                    charged = 0
-                    loaded = []
-                    current_step = step
-                projection = (rel, rid, true_size, sig, ranks)
-                if role == ROLE_LOAD:
-                    charged += ctx.reserve_memory_for(projection, "BK loaded R block")
-                    loaded.append(projection)
-                    continue
-                for r_proj in loaded:
-                    ctx.counters.increment(CANDIDATE_PAIRS)
-                    similarity = bk_verify(r_proj, projection, config, ctx.counters)
-                    if similarity is not None:
-                        _write_rs_pair(ctx, r_proj, projection, similarity)
-        finally:
-            ctx.release_memory(charged)
-
-    return reducer
-
-
 def make_bk_rs_reduce_blocks_reducer(config: JoinConfig) -> Callable:
     """Reduce-based block processing, R-S: load the first R block,
     spill the other R blocks and the whole S stream to local disk,
     then re-read the S stream once per remaining R block."""
 
     def reducer(route: int, values: Iterator, ctx: Context) -> None:
+        sanitizer = make_sanitizer(config, ctx.counters)
         loaded: list[tuple] = []
         charged = 0
         loaded_block = None
@@ -506,9 +398,11 @@ def make_bk_rs_reduce_blocks_reducer(config: JoinConfig) -> Callable:
                     continue
                 for r_proj in loaded:
                     ctx.counters.increment(CANDIDATE_PAIRS)
-                    similarity = bk_verify(r_proj, projection, config, ctx.counters)
+                    similarity = bk_verify(
+                        r_proj, projection, config, ctx.counters, sanitizer
+                    )
                     if similarity is not None:
-                        _write_rs_pair(ctx, r_proj, projection, similarity)
+                        _write_rs_pair(ctx, r_proj[1], rid, similarity)
                 if spilled_r:
                     spilled_s.append(projection)
                     ctx.counters.increment(
@@ -538,9 +432,11 @@ def make_bk_rs_reduce_blocks_reducer(config: JoinConfig) -> Callable:
                     )
                     for r_proj in loaded:
                         ctx.counters.increment(CANDIDATE_PAIRS)
-                        similarity = bk_verify(r_proj, s_proj, config, ctx.counters)
+                        similarity = bk_verify(
+                            r_proj, s_proj, config, ctx.counters, sanitizer
+                        )
                         if similarity is not None:
-                            _write_rs_pair(ctx, r_proj, s_proj, similarity)
+                            _write_rs_pair(ctx, r_proj[1], s_proj[1], similarity)
             finally:
                 ctx.release_memory(charged)
 
@@ -586,30 +482,14 @@ def stage2_rs_job(
     )
     if blocks is None:
         reducer = (
-            make_pk_rs_reducer(config)
+            make_pk_reducer(config, mode="rs")
             if config.kernel == "pk"
             else make_bk_rs_reducer(config)
         )
     elif blocks.strategy == MAP_BASED:
-        reducer = make_bk_rs_map_blocks_reducer(config)
+        reducer = make_bk_map_blocks_reducer(config, self_join=False)
     else:
         reducer = make_bk_rs_reduce_blocks_reducer(config)
-
-    if split_mode:
-        return MapReduceJob(
-            name=f"stage2-{config.kernel}-rs",
-            inputs=[r_file, s_file],
-            output=output,
-            mapper=mapper,
-            reducer=reducer,
-            num_reducers=num_reducers,
-            partition=lambda key: key[0],
-            partitioner=lambda key, n: shard_partition(key[0], key[1], n),
-            sort_key=lambda key: key,
-            group_key=lambda key: (key[0], key[1]),
-            broadcast=[token_order_file],
-            map_setup=map_setup,
-        )
 
     return MapReduceJob(
         name=f"stage2-{config.kernel}-rs",
@@ -619,8 +499,11 @@ def stage2_rs_job(
         reducer=reducer,
         num_reducers=num_reducers,
         partition=lambda key: key[0],
+        partitioner=(
+            (lambda key, n: shard_partition(key[0], key[1], n)) if split_mode else None
+        ),
         sort_key=lambda key: key,
-        group_key=lambda key: key[0],
+        group_key=(lambda key: (key[0], key[1])) if split_mode else (lambda key: key[0]),
         broadcast=[token_order_file],
         map_setup=map_setup,
     )

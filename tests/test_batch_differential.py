@@ -8,11 +8,11 @@ difference (it counts blocks, which the scalar path does not have), so
 counter comparisons exclude it.
 
 Covers: kernels (BK/PK) x encodings (rank/string) x join types
-(self/R-S) x batch sizes including 1 and non-dividing sizes, the
-row-level ``verify_rows`` vs ``verify_pair`` equivalence, and the
-numpy-vs-stdlib overlap fast path.  The R-S BK reducer, whose batched
-scan hoists per-row filter bounds, additionally gets its write order,
-sanitizer probe sequence and per-row bound computation pinned.
+(self/R-S) x batch sizes including 1 and non-dividing sizes, and the
+row-level ``verify_rows`` vs ``verify_pair`` equivalence.  The R-S BK
+reducer, whose batched scan hoists per-row filter bounds, additionally
+gets its write order, sanitizer probe sequence and per-row bound
+computation pinned.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.join.stage2_rs as stage2_rs
-from repro.core.batch import REL_R, REL_S, TokenBatch, batch_spans, numpy_or_none, verify_rows
+from repro.core.batch import REL_R, REL_S, TokenBatch, batch_spans, verify_rows
 from repro.core.bitmaps import signature
 from repro.core.ordering import TokenOrder
 from repro.core.similarity import Jaccard, get_similarity_function
@@ -326,23 +326,6 @@ class TestVerifyRowsEquivalence:
                 )
                 batched = verify_rows(batch, i, batch, j, sim, threshold)
                 assert scalar == batched
-
-    @given(sets=token_sets)
-    @settings(max_examples=40, deadline=None)
-    def test_numpy_overlap_matches_stdlib(self, sets):
-        np = numpy_or_none()
-        if np is None:
-            pytest.skip("numpy unavailable")
-        from array import array
-
-        tokens = [array("i", sorted(s)) for s in sets]
-        batch = TokenBatch.from_projections(
-            [(0, i, len(arr), None, arr) for i, arr in enumerate(tokens)]
-        )
-        for i in range(len(tokens)):
-            for j in range(len(tokens)):
-                expected = len(frozenset(tokens[i]) & frozenset(tokens[j]))
-                assert batch.overlap(i, batch, j) == expected
 
     def test_batch_spans_cover_every_row_once(self):
         for count in (0, 1, 5, 64, 65, 130):

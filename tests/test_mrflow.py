@@ -60,6 +60,33 @@ class TestRuleFixtures:
         assert rules_fired(findings) == ["MR103"]
         assert "key[2]" in findings[0].message
 
+    def test_mr103_sees_lambdas_inside_conditional_selectors(self, tmp_path):
+        """A job built once, with ``split`` choosing its selectors, is
+        checked like two jobs with plain lambdas."""
+        source = """
+            from repro.mapreduce.hashing import shard_partition
+
+            def token_mapper(record, ctx):
+                rid, tokens = record
+                for token in tokens:
+                    ctx.emit((token, len(tokens), 0), (rid, 1))
+
+            def build_job(MapReduceJob, split):
+                return MapReduceJob(
+                    mapper=token_mapper,
+                    partitioner=(
+                        (lambda key, n: shard_partition(key[0], key[1], n))
+                        if split else None
+                    ),
+                    group_key=(lambda key: key[3]) if split else (lambda key: key[0]),
+                )
+        """
+        findings = analyze_source(source, tmp_path, name="stage2_split.py")
+        assert rules_fired(findings) == ["MR103", "MR103"]
+        messages = " ".join(f.message for f in findings)
+        assert "key[3]" in messages
+        assert "shard_partition" in messages
+
     def test_mr104_counter_typo(self):
         findings = analyze_paths([str(FIXTURES / "mr104_counter_typo.py")])
         assert rules_fired(findings) == ["MR104"]

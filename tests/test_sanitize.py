@@ -14,6 +14,7 @@ import pytest
 
 from repro.analysis import Sanitizer, env_sanitize, make_sanitizer, sanitize_active
 from repro.core.similarity import Jaccard
+from repro.join.blocks import MAP_BASED, REDUCE_BASED, BlockPolicy
 from repro.join.config import JoinConfig
 from repro.join.driver import set_similarity_rs_join, set_similarity_self_join
 from repro.join.records import make_line
@@ -181,3 +182,55 @@ class TestEndToEnd:
         counters = report.filter_counters()
         assert counters["sanitize_checks"] > 0
         assert counters["sanitize_violations"] == 0
+
+
+#: the Section-5 BK reducers: map- and reduce-based blocks, and (self
+#: joins only) the length filter as a secondary routing criterion
+SECTION5 = {
+    "map-blocks": dict(blocks=BlockPolicy(MAP_BASED, 3)),
+    "reduce-blocks": dict(blocks=BlockPolicy(REDUCE_BASED, 3)),
+    "length-classes": dict(length_class_width=2),
+}
+
+
+class TestSection5Reducers:
+    """Block streams are not length-sorted, so these reducers check
+    filter admissibility only; a sanitized run must still count checks,
+    find no violations and write what a plain run writes."""
+
+    def _assert_observe_only(self, run):
+        p_off, r_off = run(sanitize=False)
+        p_on, r_on = run(sanitize=True)
+        assert p_on == p_off
+        on = r_on.filter_counters()
+        assert on["sanitize_checks"] > 0
+        assert on["sanitize_violations"] == 0
+        assert "sanitize.unsorted_reduce_input" not in r_on.counters()
+        assert r_off.filter_counters()["sanitize_checks"] == 0
+
+    @pytest.mark.parametrize("layout", sorted(SECTION5))
+    def test_self_join(self, layout):
+        records = corpus(random.Random(14), 80)
+
+        def run(sanitize):
+            config = JoinConfig(
+                threshold=0.5, schema=SCHEMA_1, kernel="bk", sanitize=sanitize,
+                **SECTION5[layout],
+            )
+            return set_similarity_self_join(records, config, cluster=make_cluster())
+
+        self._assert_observe_only(run)
+
+    @pytest.mark.parametrize("layout", ["map-blocks", "reduce-blocks"])
+    def test_rs_join(self, layout):
+        rng = random.Random(15)
+        r, s = corpus(rng, 60), corpus(rng, 70, base=1000)
+
+        def run(sanitize):
+            config = JoinConfig(
+                threshold=0.5, schema=SCHEMA_1, kernel="bk", sanitize=sanitize,
+                **SECTION5[layout],
+            )
+            return set_similarity_rs_join(r, s, config, cluster=make_cluster())
+
+        self._assert_observe_only(run)
